@@ -28,6 +28,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -168,6 +169,7 @@ func runFlip(target *core.Target, win core.WinSize, o options) error {
 		return fmt.Errorf("unknown technique %q (want read or write)", o.tech)
 	}
 	cfg := core.Config{MaxMBF: o.mbf, Win: win}
+	start := time.Now()
 	res, err := core.RunCampaign(core.CampaignSpec{
 		Target:      target,
 		Technique:   tech,
@@ -187,6 +189,7 @@ func runFlip(target *core.Target, win core.WinSize, o options) error {
 	if err != nil {
 		return err
 	}
+	printThroughput(os.Stderr, res.N(), time.Since(start))
 	title := fmt.Sprintf("Campaign: %s, %s, %s, n=%d, seed=%d%s (golden: %d dyn instr, %d/%d candidates)",
 		target.Name, tech, cfg, res.N(), o.seed, classifierTag(o.classifier),
 		target.GoldenDyn, target.ReadCands, target.WriteCands)
@@ -194,6 +197,7 @@ func runFlip(target *core.Target, win core.WinSize, o options) error {
 }
 
 func runStuckAt(target *core.Target, win core.WinSize, o options) error {
+	start := time.Now()
 	res, err := core.RunStuckAt(core.StuckAtSpec{
 		Target:      target,
 		Window:      win,
@@ -211,10 +215,19 @@ func runStuckAt(target *core.Target, win core.WinSize, o options) error {
 	if err != nil {
 		return err
 	}
+	printThroughput(os.Stderr, res.N(), time.Since(start))
 	title := fmt.Sprintf("Campaign: %s, stuck-at (bit held for a %s-instruction read window), n=%d, seed=%d%s (golden: %d dyn instr, %d read candidates)",
 		target.Name, win, res.N(), o.seed, classifierTag(o.classifier),
 		target.GoldenDyn, target.ReadCands)
 	return renderCampaign(title, &res.EngineResult)
+}
+
+// printThroughput reports the campaign's wall time and experiments per
+// second. It goes to stderr so the outcome table on stdout stays
+// byte-deterministic.
+func printThroughput(w io.Writer, n int, wall time.Duration) {
+	fmt.Fprintf(w, "fi: %d experiments in %s (%.0f experiments/s)\n",
+		n, wall.Round(time.Millisecond), float64(n)/wall.Seconds())
 }
 
 // runStatus lists every campaign journal in the directory with its shard

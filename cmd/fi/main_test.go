@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+	"time"
+)
 
 // base returns a valid option set for tests to break one field at a time.
 func base() options {
@@ -26,5 +30,13 @@ func TestRunRejectsUnknowns(t *testing.T) {
 		if err := run(o); err == nil {
 			t.Errorf("%s accepted", c.name)
 		}
+	}
+}
+
+func TestPrintThroughput(t *testing.T) {
+	var b strings.Builder
+	printThroughput(&b, 500, 250*time.Millisecond)
+	if got, want := b.String(), "fi: 500 experiments in 250ms (2000 experiments/s)\n"; got != want {
+		t.Errorf("got %q, want %q", got, want)
 	}
 }

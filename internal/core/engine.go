@@ -455,7 +455,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		trace = nil
 	}
 	var memo memoTable = &mapMemo{}
-	var ownMemo *SharedMemo
+	var flushMemo *SharedMemo
 	if trace != nil {
 		shared, owned, err := svc.memoFor(e)
 		if err != nil {
@@ -464,7 +464,7 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		if shared != nil {
 			memo = shared
 			if owned {
-				ownMemo = shared
+				flushMemo = shared
 			}
 		}
 	}
@@ -572,8 +572,10 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 		}()
 	}
 	wg.Wait()
-	if ownMemo != nil {
-		if err := ownMemo.Close(); err != nil && len(errs) == 0 {
+	// The Service keeps the memo handle for its next campaign; flushing
+	// here bounds what a crash can lose to the current campaign's entries.
+	if flushMemo != nil {
+		if err := flushMemo.Flush(); err != nil && len(errs) == 0 {
 			errs = append(errs, err)
 		}
 	}

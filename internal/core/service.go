@@ -22,7 +22,10 @@ package core
 // behaviour and the execution budgets. Campaigns with different
 // techniques, fault models or seeds over the same target share one memo
 // file, which is what makes the memo a shared cache rather than a
-// per-run optimization.
+// per-run optimization. A Service decodes each memo file once, on the
+// first campaign that needs it, and hands that one handle to every
+// later campaign it serves; each journaled campaign still flushes its
+// new entries to the file when it finishes.
 
 import (
 	"encoding/json"
@@ -79,6 +82,11 @@ type Service struct {
 	// plan, if any. Injected faults never change campaign results, only
 	// exercise the retry and recovery paths.
 	Fault *FaultPlan
+
+	// memos caches the Dir-derived memo handles by path, so a memo file
+	// is decoded once per Service rather than once per campaign.
+	memoMu sync.Mutex
+	memos  map[string]*SharedMemo
 }
 
 // active reports whether the service routes campaigns through a journal.
@@ -109,10 +117,12 @@ func (s *Service) journalFor(e *Engine) (Journal, bool, error) {
 	return j, true, nil
 }
 
-// memoFor opens the shared memo for an engine: the injected Memo if
-// set, else the content-addressed file under Dir. The second return
-// reports ownership. A nil table means the caller should fall back to a
-// private in-memory memo.
+// memoFor returns the shared memo for an engine: the injected Memo if
+// set, else the Service's handle on the content-addressed file under
+// Dir, opened on first use and reused by every later campaign on the
+// same target. The second return reports whether the Service owns the
+// handle, in which case the engine flushes it after each campaign. A nil
+// table means the caller should fall back to a private in-memory memo.
 func (s *Service) memoFor(e *Engine) (*SharedMemo, bool, error) {
 	if s.Memo != nil {
 		return s.Memo, false, nil
@@ -121,10 +131,19 @@ func (s *Service) memoFor(e *Engine) (*SharedMemo, bool, error) {
 		return nil, false, nil
 	}
 	path := filepath.Join(s.Dir, fmt.Sprintf("memo-%016x.mfj", e.memoFingerprint()))
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if m, ok := s.memos[path]; ok {
+		return m, true, nil
+	}
 	m, err := OpenSharedMemo(path)
 	if err != nil {
 		return nil, false, err
 	}
+	if s.memos == nil {
+		s.memos = make(map[string]*SharedMemo)
+	}
+	s.memos[path] = m
 	return m, true, nil
 }
 
@@ -220,13 +239,19 @@ type memoRec struct {
 	P vm.TrapKind `json:"p,omitempty"`
 }
 
-// SharedMemo is the cross-campaign fault-equivalence memo: a
-// process-wide map mirrored to an append-only checksummed record file
-// (same line codec as the journal). Campaigns sharing a memo skip the
-// continuation of any post-injection state another campaign — or a
-// previous process — already executed. Correctness never depends on the
-// file's contents: entries are deterministic facts, a lost entry only
-// costs a re-execution, and a torn line is skipped by the loader.
+// SharedMemo is the cross-campaign fault-equivalence memo: one open
+// handle's in-memory map, loaded from and appended to a checksummed
+// record file (same line codec as the journal). Campaigns sharing a
+// memo skip the continuation of any post-injection state another
+// campaign — or a previous process — already executed. Correctness
+// never depends on the file's contents: entries are deterministic
+// facts, a lost entry only costs a re-execution, and a torn line is
+// skipped by the loader.
+//
+// A handle reads the file only when it is opened. A Service keeps its
+// handle for its whole lifetime, so entries a peer process appends
+// after that are first seen by the next Service to open the file; until
+// then they only cost re-executions, never a different outcome.
 type SharedMemo struct {
 	mu    sync.Mutex
 	path  string

@@ -7,6 +7,7 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/study"
+	"multiflip/internal/vm"
 )
 
 // tinyOpts keeps study tests fast: two small programs, a reduced grid.
@@ -254,5 +255,54 @@ func TestRunTransitionsMemoized(t *testing.T) {
 				t.Fatalf("%s %s: transition result re-computed instead of memoized", name, tech)
 			}
 		}
+	}
+}
+
+// sdcBlind classifies like core.ExactClassifier except that corrupted
+// output counts as Benign, so a campaign judged by it records no SDC.
+type sdcBlind struct{}
+
+func (sdcBlind) Name() string { return "test:sdc-blind" }
+
+func (sdcBlind) Classify(golden []byte, res *vm.Result) core.Outcome {
+	if o := (core.ExactClassifier{}).Classify(golden, res); o != core.OutcomeSDC {
+		return o
+	}
+	return core.OutcomeBenign
+}
+
+// TestTransitionsUseStudyClassifier checks that the §IV-C3 pinned
+// reruns judge outcomes with the study's classifier: the transition
+// matrix must compare single- and multi-bit outcomes classified alike,
+// so under a classifier that never reports an SDC no transition may
+// end in one.
+func TestTransitionsUseStudyClassifier(t *testing.T) {
+	exact, err := tiny(t).RunTransitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := tinyOpts()
+	opts.Classifier = sdcBlind{}
+	s, err := study.Run(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blind, err := s.RunTransitions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exactSDC := 0
+	for name, techs := range blind {
+		for tech, tr := range techs {
+			for from := range tr.Matrix.Counts {
+				if n := tr.Matrix.Counts[from][core.OutcomeSDC]; n != 0 {
+					t.Errorf("%s %s: %d multi-bit reruns classified SDC", name, tech, n)
+				}
+				exactSDC += exact[name][tech].Matrix.Counts[from][core.OutcomeSDC]
+			}
+		}
+	}
+	if exactSDC == 0 {
+		t.Fatal("exact transitions record no multi-bit SDC: the check is vacuous")
 	}
 }

@@ -46,6 +46,7 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 	for _, name := range s.Programs {
 		d := s.Data[name]
 		out[name] = make(map[core.Technique]*TransitionResult, 2)
+		svc := s.Opts.service()
 		for _, tech := range core.Techniques() {
 			single := d.Single[tech]
 			if len(single.Experiments) == 0 {
@@ -72,8 +73,10 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 				NoSnapshots: s.Opts.NoSnapshots,
 				NoConverge:  s.Opts.NoConverge,
 				NoCompile:   s.Opts.NoCompile,
+				NoLiveness:  s.Opts.NoLiveness,
+				Classifier:  s.Opts.Classifier,
 				OnFailure:   s.Opts.OnFailure,
-				Service:     s.Opts.service(),
+				Service:     svc,
 			})
 			if err != nil {
 				return nil, err
