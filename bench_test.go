@@ -393,6 +393,45 @@ func BenchmarkCampaignLiveness(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignMultiBit measures the grid's widest multi-bit cluster
+// (max-MBF 30 × win 1000) for qsort and CRC32, both techniques: up to 30
+// flips spaced 1000 dynamic instructions apart, so the injection
+// horizon decides how much of each experiment runs on the fast tiers
+// instead of the per-instruction observer tier.
+func BenchmarkCampaignMultiBit(b *testing.B) {
+	for _, name := range []string{"qsort", "CRC32"} {
+		bench, err := prog.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := bench.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		target, err := core.NewTarget(bench.Name, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, tech := range core.Techniques() {
+			b.Run(fmt.Sprintf("%s/%s", name, tech), func(b *testing.B) {
+				const perIter = 200
+				for i := 0; i < b.N; i++ {
+					if _, err := core.RunCampaign(core.CampaignSpec{
+						Target:    target,
+						Technique: tech,
+						Config:    core.Config{MaxMBF: 30, Win: core.Win(1000)},
+						N:         perIter,
+						Seed:      uint64(i),
+					}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(perIter)*float64(b.N)/b.Elapsed().Seconds(), "experiments/s")
+			})
+		}
+	}
+}
+
 // BenchmarkCampaignJournal measures the campaign service's durability
 // overhead on the BenchmarkCampaignSnapshot workload: the same campaign
 // run through a journal instead of the in-memory fast path. "mem" prices

@@ -11,7 +11,9 @@
 //	study -quick                        # reduced grid for a fast smoke run
 //
 // Output goes to stdout; use -o to write a file (EXPERIMENTS.md is
-// generated this way).
+// generated this way). After the run, one line on stderr reports the
+// study grid's experiment count, wall time and experiments per second;
+// the report itself stays byte-deterministic.
 package main
 
 import (
@@ -20,6 +22,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"time"
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
@@ -60,7 +63,7 @@ func main() {
 		noliveness: *noliveness,
 		classifier: *classifier, onfail: *onfail, journal: *journal, resume: *resume,
 		out: *out, csvDir: *csvDir, verbose: *verbose,
-	}); err != nil {
+	}, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "study:", err)
 		os.Exit(1)
 	}
@@ -92,29 +95,62 @@ type params struct {
 	verbose     bool
 }
 
-// run resolves the output writer and delegates to runTo. Writing to a
-// file checks the Close error explicitly: EXPERIMENTS.md is produced via
-// -o, and a full disk surfacing only in Close must not yield a silently
+// run resolves the output writer (stdout, or the -o file), delegates to
+// runTo and reports the grid's throughput on stderr. Writing to a file
+// checks the Close error explicitly: EXPERIMENTS.md is produced via -o,
+// and a full disk surfacing only in Close must not yield a silently
 // truncated report with exit code 0.
-func run(p params) error {
+func run(p params, stdout, stderr io.Writer) error {
+	var tp throughput
 	if p.out == "" {
-		return runTo(os.Stdout, p)
+		if err := runTo(stdout, p, &tp); err != nil {
+			return err
+		}
+	} else {
+		f, err := os.Create(p.out)
+		if err != nil {
+			return err
+		}
+		if err := runTo(f, p, &tp); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("writing %s: %w", p.out, err)
+		}
 	}
-	f, err := os.Create(p.out)
-	if err != nil {
-		return err
-	}
-	if err := runTo(f, p); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("writing %s: %w", p.out, err)
-	}
+	printThroughput(stderr, tp)
 	return nil
 }
 
-func runTo(w io.Writer, p params) error {
+// throughput is the study grid's experiment count and wall time (the
+// campaigns study.Run executes; transitions, ablations and the memory
+// extension run afterwards and are not counted).
+type throughput struct {
+	n    int
+	wall time.Duration
+}
+
+// printThroughput reports the grid's throughput. It goes to stderr so
+// the report on stdout (or in the -o file) stays byte-deterministic.
+func printThroughput(w io.Writer, tp throughput) {
+	fmt.Fprintf(w, "study: %d experiments in %s (%.0f experiments/s)\n",
+		tp.n, tp.wall.Round(time.Millisecond), float64(tp.n)/tp.wall.Seconds())
+}
+
+// runStudy runs the study grid, recording its throughput in tp.
+func runStudy(opts study.Options, tp *throughput) (*study.Study, error) {
+	start := time.Now()
+	s, err := study.Run(opts)
+	if err != nil {
+		return nil, err
+	}
+	*tp = throughput{s.Experiments(), time.Since(start)}
+	return s, nil
+}
+
+// runTo writes the report to w, recording the grid's throughput in tp.
+func runTo(w io.Writer, p params, tp *throughput) error {
 	if p.resume && p.journal == "" {
 		return fmt.Errorf("-resume needs -journal DIR (there is no journal to resume from)")
 	}
@@ -178,7 +214,7 @@ func runTo(w io.Writer, p params) error {
 		opts.MaxMBFs = []int{2}
 		opts.WinSizes = []core.WinSize{core.Win(0)}
 		opts.NoStuckAt = true
-		s, err := study.Run(opts)
+		s, err := runStudy(opts, tp)
 		if err != nil {
 			return err
 		}
@@ -190,7 +226,7 @@ func runTo(w io.Writer, p params) error {
 		return nil
 	}
 
-	s, err := study.Run(opts)
+	s, err := runStudy(opts, tp)
 	if err != nil {
 		return err
 	}

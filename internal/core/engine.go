@@ -289,6 +289,11 @@ type engineShard struct {
 // hold workers at a barrier so several fail concurrently.
 var experimentHook func(idx int)
 
+// observeAll, when set, runs every experiment with vm.Options.CountRoles,
+// which steps each instruction through the VM's observer tier. Test seam:
+// the injection-horizon differential uses it as the reference path.
+var observeAll bool
+
 // Run executes the experiments. They run in parallel but the result is
 // identical for any worker count and claim batch: every experiment
 // derives its private random stream from (Seed, experiment index). With
@@ -666,6 +671,7 @@ func (e *Engine) runOne(idx uint64, memo memoTable, trace *vm.GoldenTrace, ti ti
 		Resume:      inj.Resume,
 		NoFuse:      ti.noFuse,
 		NoCompile:   ti.noCompile,
+		CountRoles:  observeAll,
 		Trace:       trace,
 		MemoCheck:   memoCheck,
 	})

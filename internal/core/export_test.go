@@ -15,6 +15,13 @@ func SetExperimentHook(h func(idx int)) (restore func()) {
 	return func() { experimentHook = nil }
 }
 
+// SetObserveAll forces every experiment through the VM's observer tier
+// (see observeAll) and returns a restore function.
+func SetObserveAll() (restore func()) {
+	observeAll = true
+	return func() { observeAll = false }
+}
+
 // AutoClaimBatch exposes the claim-batch auto-tuner to the invariance
 // and property tests.
 var AutoClaimBatch = autoClaimBatch

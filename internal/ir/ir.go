@@ -388,6 +388,11 @@ type Program struct {
 	Funcs   []*Func
 	Globals []byte // initial image of the global data segment
 	Main    int    // index into Funcs of the entry point
+	// MaxNR caches the largest Instr.NR over every function: a bound on
+	// the register-read slots one dynamic instruction consumes. Validate
+	// populates it; the VM bounds how far an armed inject-on-read plan
+	// can run on its fast tiers with it.
+	MaxNR uint8
 }
 
 // FuncByName returns the index of the named function, or -1.
@@ -412,18 +417,22 @@ func (p *Program) StaticInstrs() int {
 // Validate checks structural invariants: branch targets in range, register
 // ids within the frame, calls referencing existing functions with matching
 // arity, widths present where required, and a terminated instruction
-// stream. It also populates the per-instruction caches the VM relies on
-// (Instr.NR, Instr.DW, the dispatch token Instr.Tok, and the
-// superinstruction annotation Instr.FTok), so a hand-assembled Program
+// stream. It also populates the caches the VM relies on (Instr.NR,
+// Instr.DW, the dispatch token Instr.Tok, the superinstruction
+// annotation Instr.FTok, and Program.MaxNR), so a hand-assembled Program
 // must pass through Validate before it is run. Programs produced by the
 // builder are validated at Build time.
 func (p *Program) Validate() error {
 	if p.Main < 0 || p.Main >= len(p.Funcs) {
 		return fmt.Errorf("ir: main index %d out of range (%d funcs)", p.Main, len(p.Funcs))
 	}
+	p.MaxNR = 0
 	for fi, f := range p.Funcs {
 		if err := p.validateFunc(f); err != nil {
 			return fmt.Errorf("ir: func %d (%s): %w", fi, f.Name, err)
+		}
+		for pc := range f.Code {
+			p.MaxNR = max(p.MaxNR, f.Code[pc].NR)
 		}
 	}
 	return nil

@@ -188,6 +188,26 @@ func Run(opts Options) (*Study, error) {
 	return s, nil
 }
 
+// Experiments returns the number of experiments the study's campaigns
+// ran: every program's single-bit, multi-bit and stuck-at campaigns.
+func (s *Study) Experiments() int {
+	n := 0
+	for _, d := range s.Data {
+		for _, tech := range core.Techniques() {
+			if r := d.Single[tech]; r != nil {
+				n += r.N()
+			}
+			for _, r := range d.Multi[tech] {
+				n += r.N()
+			}
+		}
+		if d.StuckAt != nil {
+			n += d.StuckAt.N()
+		}
+	}
+	return n
+}
+
 func runProgram(opts Options, name string) (*ProgData, error) {
 	b, err := prog.ByName(name)
 	if err != nil {

@@ -161,7 +161,8 @@ func genFuzzProg(data []byte) *ir.Program {
 // budget is always respected, checkpointing never perturbs a run, and
 // resuming from any captured snapshot — fault-free, with a register
 // injection plan, or with a scheduled memory flip — is bit-identical to
-// the corresponding cold start.
+// the corresponding cold start, and random multi-flip plans on the fast
+// tiers match the observer-tier reference.
 func FuzzVM(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -377,6 +378,14 @@ func FuzzVM(f *testing.F) {
 		}
 		sameResult(t, "plan NoConverge vs full", pk, ps)
 
+		// Injection horizon: an armed plan runs on the fast tiers up to the
+		// first dynamic index it could inject at. A random multi-flip plan,
+		// cold or resumed, must match the CountRoles reference, which steps
+		// every instruction through the observer tier.
+		hg := &horizonGolden{p: p, base: base, gold: trun, snaps: trun.Snapshots, trace: trace}
+		hmk, hres, hlabel := hg.fuzzPlan(z)
+		hg.check(t, "horizon "+hlabel, hres, hmk)
+
 		// Liveness-vs-execution: the bit-level static analysis claims some
 		// (candidate, bit) flips are unobservable. Enumerate the dead
 		// candidates of this random program, force one to execute with a
@@ -515,5 +524,10 @@ func FuzzVM(f *testing.F) {
 			}
 			sameResult(t, "compiled resume from interpreted workload snapshot", xc, xWant)
 		}
+
+		// The same horizon differential on the compiled tier.
+		wg := newHorizonGolden(t, wp)
+		hmk, hres, hlabel = wg.fuzzPlan(z)
+		wg.check(t, wp.Name+" horizon "+hlabel, hres, hmk)
 	})
 }

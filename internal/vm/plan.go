@@ -98,6 +98,43 @@ func (p *Plan) validate() error {
 	return nil
 }
 
+// injGap returns the injection horizon as a distance: the number of
+// dynamic instructions from m.dyn that can execute before the armed plan
+// could possibly inject. The run loop executes that many on the fast
+// tiers, which perform no injection checks, and steps through the
+// observer tier from there on; zero means the next instruction must be
+// stepped. The bounds are conservative — an instruction stepped below
+// the true injection point merely finds nothing due — and consume no
+// randomness, so skipping never perturbs a plan's sampling.
+//
+//   - First inject-on-write flip: every instruction writes at most one
+//     candidate, so candidate FirstCand cannot be written before
+//     FirstCand-writes more instructions have run.
+//   - First inject-on-read (or stuck-at anchor) flip: every instruction
+//     consumes at most maxNR read slots, so the first FirstCand-readSlots
+//     slots span at least (FirstCand-readSlots)/maxNR whole instructions.
+//     Repeated horizons shrink the remaining gap geometrically.
+//   - Follow-up flips: none is due before nextDyn.
+//   - A live stuck-at hold observes every read of its register, so it
+//     steps every instruction until it ends.
+func (m *machine) injGap() uint64 {
+	p := m.plan
+	switch {
+	case m.firstDone:
+		if p.Stuck || m.dyn >= m.nextDyn {
+			return 0
+		}
+		return m.nextDyn - m.dyn
+	case p.OnWrite:
+		return p.FirstCand - m.writes
+	case m.maxNR == 0:
+		// No read bound (no instruction reads a register, or the program
+		// skipped validation): step, which is always correct.
+		return 0
+	}
+	return (p.FirstCand - m.readSlots) / m.maxNR
+}
+
 // maybeInjectRead performs due inject-on-read flips for the instruction at
 // dynamic index di, before it executes. nr is the instruction's register
 // read-slot count.

@@ -134,8 +134,10 @@ type Options struct {
 	OnCand func(onWrite bool, cand uint64, fn, pc, slot int, val uint64)
 	// CountRoles additionally classifies every candidate slot by
 	// ir.SlotRole during the run (address/data/control/float), filling
-	// Result.ReadRoles and Result.WriteRoles. Profiling only: it slows the
-	// interpreter loop.
+	// Result.ReadRoles and Result.WriteRoles. Profiling only: it steps
+	// every instruction through the observer tier, which also makes it
+	// the reference the injection-horizon differential tests compare the
+	// default path against.
 	CountRoles bool
 	// Plan, when non-nil, enables register fault injection for this run.
 	Plan *Plan
@@ -249,6 +251,12 @@ type Result struct {
 	FirstRole ir.SlotRole
 	// InjectionDyns records the dynamic index of each injection.
 	InjectionDyns []uint64
+	// Stepped counts the instructions the per-instruction observer tier
+	// executed (the rest ran on the compiled or token-threaded tiers).
+	// It is a cost counter, not an outcome: the same run reports the same
+	// observables whatever its Stepped, and CountRoles/OnCand runs step
+	// every instruction.
+	Stepped uint64
 	// ReadRoles counts inject-on-read candidates by ir.SlotRole; filled
 	// only when Options.CountRoles is set.
 	ReadRoles [ir.NumSlotRoles]uint64
@@ -323,11 +331,21 @@ type machine struct {
 	writeRoles [ir.NumSlotRoles]uint64
 
 	plan *Plan
-	// injRead/injWrite gate the per-instruction injection checks; both
-	// drop to false once the plan has performed its last flip, so the
-	// post-injection tail runs at fault-free speed.
+	// injRead/injWrite mark the plan armed: while either is set, the run
+	// loop bounds the fast tiers by the injection horizon (injGap) and
+	// steps the observer tier, whose injection checks they gate, from
+	// there on. Both drop to false once the plan has performed its last
+	// flip, which also lets convergence checks arm.
 	injRead  bool
 	injWrite bool
+	// maxNR is the program's read-slot bound per instruction
+	// (ir.Program.MaxNR), the divisor of the inject-on-read horizon.
+	maxNR uint64
+	// stepped counts the instructions run steps for an armed plan or a
+	// kernel punt. Role-counting runs step every instruction, so Run
+	// derives their Result.Stepped from the dynamic count and the
+	// profiling loop carries no counter.
+	stepped uint64
 	// fuse enables superinstruction execution (see dispatch.go); cleared
 	// by Options.NoFuse or the MULTIFLIP_NOFUSE environment variable.
 	fuse bool
@@ -445,6 +463,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		m.countRoles = true
 	}
 	m.plan = opts.Plan
+	m.maxNR = uint64(p.MaxNR)
 	m.memFlips = opts.MemFlips
 	m.nextMemFlip = ^uint64(0)
 	m.firstBit = -1
@@ -573,7 +592,11 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 			m.out = append(make([]byte, 0, len(m.out)+want), m.out...)
 		}
 	}
+	start := m.dyn
 	m.run()
+	if m.countRoles {
+		m.stepped = m.dyn - start
+	}
 	res := &Result{
 		Stop:          m.stop,
 		Trap:          m.trap,
@@ -586,6 +609,7 @@ func Run(p *ir.Program, opts Options) (*Result, error) {
 		FirstPre:      m.firstPre,
 		FirstRole:     m.firstRole,
 		InjectionDyns: m.injDyns,
+		Stepped:       m.stepped,
 		ReadRoles:     m.readRoles,
 		WriteRoles:    m.writeRoles,
 		Snapshots:     m.snaps,
@@ -701,27 +725,35 @@ func val(regs []uint64, o ir.Operand) uint64 {
 
 // run is the interpreter loop. It sets m.stop before returning.
 //
-// The loop is two-tier. The outer tier handles the events that can fire
-// between instructions — hang budget, snapshot capture, scheduled memory
-// flips — and decides which execution tier the next stretch takes:
+// The outer loop handles the events that can fire between instructions —
+// hang budget, snapshot capture, scheduled memory flips, convergence
+// checks — and decides which execution tier the next stretch takes:
 //
-//   - While any per-instruction observer is armed (an injection plan
-//     still in progress, or role counting), instructions execute one at
-//     a time through step(), which drives the indirect handler table and
-//     interleaves the injection checks exactly as the pre-dispatch-table
-//     interpreter did.
-//   - Otherwise sprint() runs: a tight token-threaded loop that executes
-//     up to the event horizon (the nearest of the hang budget, the next
-//     snapshot and the next memory flip) with no per-instruction event
-//     checks at all, keeping the dynamic and candidate counters in
-//     locals. Superinstructions execute there in a single dispatch
-//     round; the horizon check (at least two instructions of headroom)
-//     guarantees no event can fire between the halves, so fusion never
-//     perturbs snapshot boundaries or flip instants.
+//   - Role counting and candidate enumeration (CountRoles, OnCand)
+//     execute every instruction one at a time through step(), the
+//     observer tier, which drives the indirect handler table and
+//     interleaves the per-instruction observers.
+//   - An armed injection plan adds one more event: its injection horizon
+//     (injGap), the first dynamic index at which the plan could inject.
+//     Below it the fast tiers run as if no plan were armed; from it on
+//     step() executes one instruction at a time with the injection checks
+//     at exactly the legacy points, until a flip lands and moves the
+//     horizon on (the next follow-up window) or ends the plan.
+//   - Everything else executes on the fast tiers up to the event
+//     horizon: the nearest of the hang budget, the next snapshot, the
+//     next memory flip, the next convergence check and, while armed, the
+//     injection horizon. The workload's compiled kernel runs first when
+//     it has one; sprint() is the token-threaded fallback, a tight loop
+//     with no per-instruction event checks at all that keeps the dynamic
+//     and candidate counters in locals. Superinstructions execute there
+//     in a single dispatch round; the horizon check (at least two
+//     instructions of headroom) guarantees no event can fire between the
+//     halves, so fusion never perturbs snapshot boundaries, flip instants
+//     or injection points.
 //
-// Injection plans re-enter the fast tier once complete: endPlan clears
-// the armed flags, so the post-injection tail of every experiment runs at
-// fault-free speed.
+// Convergence checks stay off while a plan is armed: endPlan clears the
+// armed flags, and only then is the post-injection state compared
+// against the golden trace.
 func (m *machine) run() {
 	fr := &m.frames[len(m.frames)-1]
 	for {
@@ -735,16 +767,28 @@ func (m *machine) run() {
 		if m.dyn >= m.nextMemFlip {
 			m.applyMemFlip(m.dyn)
 		}
-		if m.injRead || m.injWrite || m.countRoles {
+		if m.countRoles {
 			if fr = m.step(fr); fr == nil {
 				return
 			}
 			continue
 		}
-		// Convergence checks arm once every injection is done (an armed
-		// plan keeps the observer tier above; memory flips are checked
-		// here) and fire at golden-trace boundaries via the event horizon.
-		if m.trace != nil && m.memIdx == len(m.memFlips) {
+		limit := m.maxDyn
+		if m.injRead || m.injWrite {
+			gap := m.injGap()
+			if gap == 0 {
+				m.stepped++
+				if fr = m.step(fr); fr == nil {
+					return
+				}
+				continue
+			}
+			if gap < limit-m.dyn {
+				limit = m.dyn + gap
+			}
+		} else if m.trace != nil && m.memIdx == len(m.memFlips) {
+			// Convergence checks arm once every injection is done and fire
+			// at golden-trace boundaries via the event horizon.
 			if !m.convSched {
 				m.scheduleConv()
 			}
@@ -752,12 +796,12 @@ func (m *machine) run() {
 				return
 			}
 		}
-		// The event horizon: no snapshot, memory flip, convergence check
-		// or hang stop can fire strictly before this dynamic index.
-		// applyMemFlip, takeSnapshot and checkConverge always advance
-		// their cursors past m.dyn, so the execution tiers below make
-		// progress on every outer iteration (m.dyn < limit holds here).
-		limit := m.maxDyn
+		// The event horizon: no snapshot, memory flip, convergence check,
+		// injection or hang stop can fire strictly before this dynamic
+		// index. applyMemFlip, takeSnapshot and checkConverge always
+		// advance their cursors past m.dyn, and a zero injection gap steps
+		// above, so the execution tiers below make progress on every outer
+		// iteration (m.dyn < limit holds here).
 		if m.nextSnap < limit {
 			limit = m.nextSnap
 		}
@@ -778,6 +822,7 @@ func (m *machine) run() {
 				case kernHorizon:
 					continue
 				case kernOut:
+					m.stepped++
 					if fr = m.step(fr); fr == nil {
 						return
 					}
@@ -1203,11 +1248,15 @@ halt:
 	return nil
 }
 
-// step executes a single instruction with the per-instruction observers
-// armed: inject-on-read before the instruction consumes its operands,
-// role tallies, and inject-on-write after the destination is written. It
-// returns the frame holding control afterwards, or nil when the run
-// stopped. Events (hang, snapshot, memory flips) are the outer loop's
+// step executes a single instruction through the observer tier:
+// inject-on-read before the instruction consumes its operands, candidate
+// enumeration and role tallies, and inject-on-write after the
+// destination is written. The run loop calls it for every instruction of
+// a role-counting run, from an armed plan's injection horizon on, and for
+// the calls and returns compiled kernels punt; stepping an instruction
+// below the horizon is always legal (its injection checks find nothing
+// due). It returns the frame holding control afterwards, or nil when the
+// run stopped. Events (hang, snapshot, memory flips) are the outer loop's
 // job.
 func (m *machine) step(fr *frame) *frame {
 	di := m.dyn
