@@ -4,9 +4,9 @@
 GO ?= go
 
 # Benchmarks included in the machine-readable summary: the campaign-tier
-# perf benchmarks (snapshot/convergence/liveness/multi-bit) plus the VM
+# perf benchmarks (snapshot/convergence/liveness/multi-bit/large-memory) plus the VM
 # golden-run tiers. Override BENCH to widen or narrow the sweep.
-BENCH ?= BenchmarkCampaign(Snapshot|NoSnapshot|NoConverge|Liveness|MultiBit)$$|BenchmarkVMGoldenRun
+BENCH ?= BenchmarkCampaign(Snapshot|NoSnapshot|NoConverge|Liveness|MultiBit|LargeGlobals)$$|BenchmarkVMGoldenRun
 BENCHTIME ?= 20x
 BENCH_OUT ?= BENCH_10.json
 

@@ -516,10 +516,11 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 }
 
 // BenchmarkCampaignLargeGlobals runs a register campaign over the named
-// megapixel workload (internal/prog, 1 MiB of globals): snapshots restore
-// copy-on-write, and the convergence tier hashes only each interval's
-// write set — this is the configuration the page-granular design exists
-// for. BenchmarkCampaignLargeGlobalsNoConverge is its early-termination
+// megapixel workload (internal/prog, 1 MiB of globals): each experiment
+// restores the snapshot by copying the whole segment, the compiled
+// kernel's aligned global loads and stores run inline, and capture and
+// the convergence tier touch only each interval's write set.
+// BenchmarkCampaignLargeGlobalsNoConverge is its early-termination
 // ablation.
 func BenchmarkCampaignLargeGlobals(b *testing.B) {
 	benchCampaignLargeGlobals(b, false)
@@ -654,7 +655,7 @@ func buildCaptureProg(words, loops, stride int) (*ir.Program, error) {
 }
 
 // BenchmarkSnapshotCapture measures golden-run checkpoint capture under
-// the page-granular copy-on-write representation. The three corners pin
+// the page-granular delta representation. The three corners pin
 // the scaling claim: capture cost tracks the pages dirtied per interval,
 // not the size of the global segment — "256KiB/local" runs at
 // "8KiB/local" speed, far below "256KiB/spread", despite both 256KiB

@@ -180,10 +180,9 @@ func TestPinnedCampaignSnapshotDifferential(t *testing.T) {
 	}
 }
 
-// buildWideGlobalProg returns a synthetic workload whose global segment
-// (64 KiB) far exceeds the VM's eager-restore bound, forcing campaigns
-// through the lazy copy-on-write resume path: experiments mount snapshot
-// pages in place and copy only the pages they write.
+// buildWideGlobalProg returns a synthetic workload with a 64 KiB global
+// segment written all over, so snapshot deltas, shared pages and the
+// per-experiment restore copy work at a size well beyond the suite's.
 func buildWideGlobalProg(t *testing.T) *ir.Program {
 	t.Helper()
 	const words = 1 << 13
@@ -207,7 +206,7 @@ func buildWideGlobalProg(t *testing.T) *ir.Program {
 }
 
 // TestCampaignSnapshotDifferentialLargeGlobals extends the differential
-// invariant to the page-granular copy-on-write representation at scale: a
+// invariant to the page-granular delta representation at scale: a
 // 64 KiB-global workload, prepared at two checkpoint densities, must
 // produce experiment records bit-identical to full replay for both
 // techniques.

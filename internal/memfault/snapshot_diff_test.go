@@ -14,9 +14,8 @@ import (
 var diffBits = []int{1, 2, 3, 5}
 
 // TestMemFaultSnapshotDifferential mirrors core's snapshot_diff_test for
-// memory-fault campaigns: for several workloads (including histo, whose
-// global segment exceeds the VM's eager-restore bound and so takes the
-// lazy copy-on-write resume path) and every ECC regime, a campaign
+// memory-fault campaigns: for several workloads (including histo, with
+// the largest global segment of the suite) and every ECC regime, a campaign
 // fast-forwarded by corruption instant must produce per-experiment
 // outcomes bit-identical to a full-replay campaign.
 func TestMemFaultSnapshotDifferential(t *testing.T) {

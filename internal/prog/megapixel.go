@@ -11,7 +11,7 @@ import (
 // the "image" from a cheap PRNG recurrence, pass 2 applies an in-place
 // neighbour-mixing filter (a 1-D blur stand-in), and a sparse checksum
 // pass emits the output. Stores sweep the whole segment, so golden-run
-// capture, copy-on-write resume and convergence hashing all operate at
+// capture, snapshot resume and convergence hashing all operate at
 // real image scale — the configuration the page-granular snapshot design
 // exists for. BenchmarkCampaignLargeGlobals and the study grid target it
 // by name ("megapixel").

@@ -20,8 +20,12 @@
 //     rejoins the batched flow at the next block boundary;
 //   - the dynamic, read-slot and write counters are bit-identical to the
 //     interpreter's at every exit, including partial-block trap exits;
-//   - memory goes through machine.load/store, so CoW page installation,
-//     dirty tracking and convergence hashing behave identically;
+//   - aligned in-bounds global-segment loads and stores are inlined
+//     through the mem accessors (ld, st64..st8), whose store side
+//     declines a tracked clean page's first store; everything else —
+//     misaligned, out-of-bounds and stack accesses, and those first
+//     stores — goes through machine.load/store, so traps, dirty tracking
+//     and convergence hashing behave identically;
 //   - calls and returns are not compiled: the kernel flushes state and
 //     reports kernOut, and the VM executes the frame operation through
 //     the observer tier.
@@ -517,6 +521,17 @@ func (g *gen) addr(a ir.Operand, off int64) string {
 	return fmt.Sprintf("regs[%d] + %#x", a.Reg(), uint64(off))
 }
 
+// globalOff renders A + Off - ir.GlobalBase, the global-segment offset
+// the inlined mem accessors take, with every constant folded into one.
+// Addresses below the segment wrap to huge offsets the accessors decline.
+func (g *gen) globalOff(a ir.Operand, off int64) string {
+	d := uint64(off) - ir.GlobalBase
+	if a.IsImm() {
+		return fmt.Sprintf("uint64(%#x)", a.Imm()+d)
+	}
+	return fmt.Sprintf("regs[%d] + %#x", a.Reg(), d)
+}
+
 // genInstr emits one straight-line instruction's semantics. trapAcct is
 // prepended to every abnormal exit (the batched path's partial counter
 // constants; empty on the stepwise path, whose counters are current).
@@ -616,14 +631,19 @@ func (g *gen) genInstr(pc int, in *ir.Instr, trapAcct string) {
 		g.p("%s = %s", dst, g.uval(in.C))
 		g.p("}")
 	case ir.OpLoad:
-		g.p("v%d, t%d := m.load(%s, %d)", pc, pc, g.addr(in.A, in.Off), w.Bytes())
-		g.p("if t%d != TrapNone {", pc)
+		g.p("v%d, ok%d := m.globals.ld(%s, %d)", pc, pc, g.globalOff(in.A, in.Off), w.Bytes())
+		g.p("if !ok%d {", pc)
+		g.p("var t%d TrapKind", pc)
+		g.p("if v%d, t%d = m.load(%s, %d); t%d != TrapNone {", pc, pc, g.addr(in.A, in.Off), w.Bytes(), pc)
 		exit(fmt.Sprintf("m.trapOut(t%d)", pc))
+		g.p("}")
 		g.p("}")
 		g.p("%s = v%d", dst, pc)
 	case ir.OpStore:
+		g.p("if !m.globals.st%d(%s, %s) {", w.Bits(), g.globalOff(in.A, in.Off), g.uval(in.B))
 		g.p("if t%d := m.store(%s, %d, %s); t%d != TrapNone {", pc, g.addr(in.A, in.Off), w.Bytes(), g.uval(in.B), pc)
 		exit(fmt.Sprintf("m.trapOut(t%d)", pc))
+		g.p("}")
 		g.p("}")
 	case ir.OpAlloca:
 		g.usesIR = true
@@ -635,9 +655,7 @@ func (g *gen) genInstr(pc int, in *ir.Instr, trapAcct string) {
 		g.p("m.sp += %d", size)
 		g.p("if m.sp > m.stackHW {")
 		g.p("m.stackHW = m.sp")
-		g.p("if m.stack.res == nil {")
 		g.p("m.stack.growFlat(m.sp)")
-		g.p("}")
 		g.p("}")
 	case ir.OpOut:
 		g.p("if !m.outAppend(%s, %d) {", g.masked(in.A, w), w.Bytes())

@@ -6,7 +6,7 @@ package vm
 // internal/proggen runs under `go generate` and emits one kern_*_gen.go
 // file per workload into this package: for every function of the program,
 // a straight-line Go translation of its basic blocks operating on the
-// same frame/register-arena/CoW-memory state the interpreter uses. The
+// same frame/register-arena/memory state the interpreter uses. The
 // files register themselves here, keyed by program name and guarded by
 // the IR's semantic fingerprint (ir.Program.Fingerprint), so a kernel
 // generated from stale IR is silently ignored and the run falls back to
@@ -18,9 +18,12 @@ package vm
 // sprint, a kernel performs no dispatch at all — blocks are native
 // straight-line code with one horizon check per block, and a stepwise
 // per-instruction path handles blocks the horizon interrupts — so between
-// events the interpreter is escaped entirely. Calls and returns are left
-// to the interpreter (kernOut): frame manipulation is rare, cold, and
-// shared with the observer tier.
+// events the interpreter is escaped entirely. Aligned in-bounds global
+// loads and stores are inlined through the mem accessors (ld, st64..st8);
+// everything else — misaligned, out-of-bounds and stack accesses, and a
+// tracked clean page's first store — goes through machine.load/store.
+// Calls and returns are left to the interpreter (kernOut): frame
+// manipulation is rare, cold, and shared with the observer tier.
 
 import (
 	"os"

@@ -2,9 +2,9 @@ package vm
 
 import "encoding/binary"
 
-// Page granularity of the copy-on-write machinery. 256 bytes keeps the
-// page tables small for the suite's kilobyte-scale segments while still
-// making a dirtied page cheap to copy at snapshot time.
+// Page granularity of snapshot capture and dirty tracking. 256 bytes keeps
+// the page tables small for the suite's kilobyte-scale segments while
+// still making a dirtied page cheap to copy at snapshot time.
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
@@ -18,8 +18,6 @@ func numPages(n int) int { return (n + pageSize - 1) >> pageShift }
 
 // bitmap is a fixed-capacity bitset over page indices.
 type bitmap []uint64
-
-func newBitmap(pages int) bitmap { return make(bitmap, (pages+63)/64) }
 
 // ensureBits returns a cleared bitmap covering pages, reusing b's storage
 // when it is large enough. Machines are pooled across runs, so tracking
@@ -37,20 +35,11 @@ func ensureBits(b bitmap, pages int) bitmap {
 func (b bitmap) get(i int) bool { return b[i>>6]&(1<<uint(i&63)) != 0 }
 func (b bitmap) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 
-// mem is one byte segment of the machine (globals or stack) with
-// page-granular copy-on-write against an immutable backing.
-//
-// Two regimes exist:
-//
-//   - back == nil (and res == nil): flat is authoritative. Fresh runs use
-//     this for both segments, and restore uses it for segments small
-//     enough that an eager copy beats per-access bookkeeping.
-//   - back != nil: the segment was restored from a snapshot's page table.
-//     A page is served from flat iff its res bit is set; otherwise from
-//     back (a nil backing page reads as zeroes). Loads read the backing
-//     in place; the first store to a page installs it — copies it into
-//     flat and sets its res bit — so resume cost scales with the pages a
-//     run actually writes, not with segment size.
+// mem is one byte segment of the machine (globals or stack). flat holds
+// every mapped byte: the whole global segment, and the stack up to its
+// high-water mark (growFlat extends it as allocas raise the mark).
+// Snapshot restore copies the snapshot's pages into flat (flattenInto),
+// so a resumed segment is indistinguishable from a fresh one.
 //
 // dirty, when non-nil, records the pages stored to since the last
 // snapshot capture (or convergence check); only checkpointing and
@@ -62,9 +51,7 @@ func (b bitmap) set(i int)      { b[i>>6] |= 1 << uint(i&63) }
 // each fold re-hashes only the pages dirtied since the previous fold.
 type mem struct {
 	n     int    // segment length in bytes
-	flat  []byte // private storage; grows toward n as pages are written
-	back  [][]byte
-	res   bitmap
+	flat  []byte // private storage; covers the mapped part of the segment
 	dirty bitmap
 
 	convSalt  uint64
@@ -103,13 +90,6 @@ func mergeBufs(a, b memBufs) memBufs {
 // flatMem returns a segment fully materialized in flat.
 func flatMem(n int, flat []byte) mem { return mem{n: n, flat: flat} }
 
-// cowMem returns a segment lazily backed by a snapshot page table. Pages
-// beyond the table (possible for the stack, whose table only covers the
-// captured high-water mark) read as zeroes.
-func cowMem(n int, back [][]byte) mem {
-	return mem{n: n, back: back, res: newBitmap(numPages(n))}
-}
-
 // track enables dirty-page tracking (checkpointing and convergence-
 // tracking runs), reusing s.dirty's storage when possible.
 func (s *mem) track() { s.dirty = ensureBits(s.dirty, numPages(s.n)) }
@@ -133,9 +113,9 @@ func (s *mem) trackConv(salt uint64) {
 // content on different pages (or segments) hashes differently.
 func (s *mem) pageSeed(p int) uint64 { return s.convSalt ^ uint64(p)*hashPhi }
 
-// pageBytes returns page p's materialized content. Bytes beyond flat are
-// zero by the segment invariants (stack above the high-water mark, eager
-// growth zero-fill), which hashPage's implicit padding supplies.
+// pageBytes returns page p's content. Bytes beyond flat are zero by the
+// segment invariants (stack above the high-water mark, growFlat's
+// zero-fill), which hashPage's implicit padding supplies.
 func (s *mem) pageBytes(p int) []byte {
 	lo := p << pageShift
 	hi := lo + pageSize
@@ -197,15 +177,6 @@ func (s *mem) foldDelta(d pageDelta) uint64 {
 	return delta
 }
 
-// backPage returns the backing page p, or nil (all zeroes) when the
-// table does not cover it.
-func (s *mem) backPage(p int) []byte {
-	if p < len(s.back) {
-		return s.back[p]
-	}
-	return nil
-}
-
 // growFlat extends flat to at least end bytes (clamped to the segment
 // length), preserving contents and zero-filling the extension. Spare
 // capacity — machines are pooled across runs — is reused but must be
@@ -235,29 +206,9 @@ func (s *mem) growFlat(end int) {
 	s.flat = nf
 }
 
-// install copies backing page p into flat and marks it resident.
-func (s *mem) install(p int) {
-	lo := p << pageShift
-	hi := lo + pageSize
-	if hi > s.n {
-		hi = s.n
-	}
-	s.growFlat(hi)
-	if b := s.backPage(p); b != nil {
-		copy(s.flat[lo:hi], b)
-	}
-	s.res.set(p)
-}
-
 // load reads size bytes little-endian at off. The caller has bounds- and
 // alignment-checked [off, off+size).
 func (s *mem) load(off, size int) uint64 {
-	if s.res != nil {
-		p := pageOf(off)
-		if !s.res.get(p) || pageOf(off+size-1) != p {
-			return s.loadSlow(off, size)
-		}
-	}
 	b := s.flat[off:]
 	switch size {
 	case 8:
@@ -271,44 +222,11 @@ func (s *mem) load(off, size int) uint64 {
 	}
 }
 
-// loadSlow reads bytewise through the page table: the access touches a
-// non-resident page, or spans two pages in mixed residency states.
-func (s *mem) loadSlow(off, size int) uint64 {
-	var v uint64
-	for i := size - 1; i >= 0; i-- {
-		v = v<<8 | uint64(s.byteAt(off+i))
-	}
-	return v
-}
-
-// byteAt reads one byte through the residency map.
-func (s *mem) byteAt(off int) byte {
-	p := pageOf(off)
-	if s.res.get(p) {
-		return s.flat[off]
-	}
-	if b := s.backPage(p); b != nil {
-		if i := off & (pageSize - 1); i < len(b) {
-			return b[i]
-		}
-	}
-	return 0
-}
-
-// store writes size bytes little-endian at off, installing and dirtying
-// the pages it touches. The caller has bounds- and alignment-checked the
-// range; without backing, flat already covers it.
+// store writes size bytes little-endian at off, dirtying the pages it
+// touches. The caller has bounds- and alignment-checked the range.
 func (s *mem) store(off, size int, v uint64) {
 	p0 := pageOf(off)
 	p1 := pageOf(off + size - 1)
-	if s.res != nil {
-		if !s.res.get(p0) {
-			s.install(p0)
-		}
-		if p1 != p0 && !s.res.get(p1) {
-			s.install(p1)
-		}
-	}
 	if s.dirty != nil {
 		// Repeat stores to an already-dirty page skip all tracking work;
 		// on the 0->1 transition, the first store since convergence
@@ -338,6 +256,76 @@ func (s *mem) store(off, size int, v uint64) {
 	default:
 		b[0] = byte(v)
 	}
+}
+
+// The accessors below are the compiled kernels' fast path for global-
+// segment accesses. They decline (ok == false) anything but an aligned
+// access inside flat, and the kernel falls back to machine.load/store for
+// traps, misaligned accesses under NoAlignTrap, and the stack. They serve
+// the global segment only: its flat is exactly its mapped range, while
+// the stack's runs to the high-water mark, past the live sp. Each stays
+// within the compiler's inlining budget of 80 — ld serves every width (a
+// constant size folds away once inlined), but a width-generic store does
+// not fit, hence st64..st8. The compiler caps inlinees at cost 20 inside
+// functions of 5000+ nodes, so the largest kernels call them out of line,
+// which still skips resolve. An aligned access never spans pages, so a
+// store needs only its own page untracked or already dirty: the first
+// store to a tracked clean page declines and reaches store, which does
+// the dirty-bit and firstTouch bookkeeping.
+
+// fits reports whether the size-byte access at segment offset off is
+// aligned and inside flat. off comes from wrapping address arithmetic:
+// an address below the segment base is a huge offset, negative as a
+// (64-bit) int, and comparing against len-size never forms off+size,
+// which could overflow back into range.
+func (s *mem) fits(off uint64, size int) bool {
+	o := int(off)
+	return off&uint64(size-1) == 0 && o >= 0 && o <= len(s.flat)-size
+}
+
+// untouched reports whether a store at off must take store's tracked
+// path: its page is tracked and not yet dirty.
+func (s *mem) untouched(off uint64) bool {
+	return s.dirty != nil && !s.dirty.get(int(off>>pageShift))
+}
+
+func (s *mem) ld(off uint64, size int) (uint64, bool) {
+	if !s.fits(off, size) {
+		return 0, false
+	}
+	return s.load(int(off), size), true
+}
+
+func (s *mem) st64(off, v uint64) bool {
+	if !s.fits(off, 8) || s.untouched(off) {
+		return false
+	}
+	binary.LittleEndian.PutUint64(s.flat[off:], v)
+	return true
+}
+
+func (s *mem) st32(off, v uint64) bool {
+	if !s.fits(off, 4) || s.untouched(off) {
+		return false
+	}
+	binary.LittleEndian.PutUint32(s.flat[off:], uint32(v))
+	return true
+}
+
+func (s *mem) st16(off, v uint64) bool {
+	if !s.fits(off, 2) || s.untouched(off) {
+		return false
+	}
+	binary.LittleEndian.PutUint16(s.flat[off:], uint16(v))
+	return true
+}
+
+func (s *mem) st8(off, v uint64) bool {
+	if !s.fits(off, 1) || s.untouched(off) {
+		return false
+	}
+	s.flat[off] = byte(v)
+	return true
 }
 
 // pageDelta records the pages of one segment dirtied during a snapshot
@@ -378,7 +366,7 @@ func (s *mem) captureDelta(upTo int) pageDelta {
 
 // pageTable slices an immutable flat image into a page table without
 // copying. Used to seed capture sharing for fresh runs (the program's
-// global image) and to publish eager restores.
+// global image).
 func pageTable(img []byte) [][]byte {
 	pages := make([][]byte, numPages(len(img)))
 	for p := range pages {

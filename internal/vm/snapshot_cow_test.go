@@ -40,7 +40,7 @@ func samePage(a, b []byte) bool {
 	return &a[0] == &b[0]
 }
 
-// TestSnapshotPageSharingChain pins the copy-on-write capture contract:
+// TestSnapshotPageSharingChain pins the page-sharing capture contract:
 // each snapshot's delta holds exactly the pages dirtied in its interval
 // (at most the one data page here, since all writes stay in one word),
 // and the materialized tables share every clean page with the
@@ -121,15 +121,13 @@ func TestSnapshotCaptureCostScalesWithDirt(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeLazyGlobals drives the lazy (copy-on-write) restore
-// path: the globals exceed the eager-restore bound, so the resumed run
-// mounts the snapshot pages in place. The result must match the straight
-// run and the snapshot must survive unmodified for a second resume.
+// TestSnapshotResumeLazyGlobals resumes a run over 64 KiB of globals,
+// written all over, from a snapshot whose page table shares clean pages
+// with its predecessors. The result must match the straight run and the
+// snapshot must survive unmodified for a second resume: restore copies
+// the pages and never writes through to them.
 func TestSnapshotResumeLazyGlobals(t *testing.T) {
-	p := buildStrideProg(1<<13, 4000, 37) // 64 KiB > eagerRestoreBytes
-	if (1<<13)*8 <= eagerRestoreBytes {
-		t.Fatal("test program no longer exceeds the eager-restore bound")
-	}
+	p := buildStrideProg(1<<13, 4000, 37)
 	straight, err := Run(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +147,7 @@ func TestSnapshotResumeLazyGlobals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, fmt.Sprintf("lazy resume trial %d", trial), res, straight)
+		sameResult(t, fmt.Sprintf("resume trial %d", trial), res, straight)
 		for i, pg := range snapTbl {
 			if !bytes.Equal(before[i], pg) {
 				t.Fatalf("trial %d corrupted snapshot page %d", trial, i)
@@ -158,11 +156,11 @@ func TestSnapshotResumeLazyGlobals(t *testing.T) {
 	}
 }
 
-// TestSnapshotResumeLazyStack exercises the lazy stack path: a stack
-// frame larger than the eager-restore bound, written sparsely, restored
-// copy-on-write, with stale bytes beyond the live pointer preserved.
+// TestSnapshotResumeLazyStack resumes a run with a 16 KiB stack frame,
+// written sparsely, from several points: restore must rebuild the stack
+// up to the captured high-water mark, zeroes in the unwritten gaps.
 func TestSnapshotResumeLazyStack(t *testing.T) {
-	const bufWords = 1 << 11 // 16 KiB alloca > eagerRestoreBytes
+	const bufWords = 1 << 11 // 16 KiB alloca
 	mb := ir.NewModule("big-stack")
 	f := mb.Func("main", 0)
 	buf := f.Alloca(8 * bufWords)

@@ -23,11 +23,11 @@
 // internal/core uses this to fast-forward each campaign experiment past
 // the prefix its golden run already computed.
 //
-// Snapshots are copy-on-write at page granularity: the machine keeps a
-// dirty-page bitmap updated by stores, capture copies only the pages
+// Snapshots are captured as page-granular deltas: the machine keeps a
+// dirty-page bitmap updated by stores, and capture copies only the pages
 // dirtied since the previous checkpoint (sharing every clean page with
-// its predecessor), and resume installs shared pages lazily — a page is
-// copied only when the resumed run first writes it. See mem.go.
+// its predecessor). Resume copies the snapshot's pages into the machine's
+// flat segment buffers. See mem.go and snapshot.go.
 package vm
 
 import (
@@ -1453,12 +1453,16 @@ func (m *machine) resolve(addr uint64, size int) (*mem, int, TrapKind) {
 	if addr&uint64(size-1) != 0 && !m.noAlign {
 		return nil, 0, TrapMisaligned
 	}
-	if addr >= ir.GlobalBase && addr+uint64(size) <= ir.GlobalBase+uint64(m.globals.n) {
-		return &m.globals, int(addr - ir.GlobalBase), TrapNone
+	// The offset wraps for addresses below a segment's base, and its int
+	// conversion is negative for those and for any address 2^63 or more
+	// past it; comparing against n-size never forms off+size, which could
+	// overflow back into range.
+	if off := int(addr - ir.GlobalBase); off >= 0 && off <= m.globals.n-size {
+		return &m.globals, off, TrapNone
 	}
 	// Only the live part of the stack ([StackBase, StackBase+sp)) is mapped.
-	if addr >= ir.StackBase && addr+uint64(size) <= ir.StackBase+uint64(m.sp) {
-		return &m.stack, int(addr - ir.StackBase), TrapNone
+	if off := int(addr - ir.StackBase); off >= 0 && off <= m.sp-size {
+		return &m.stack, off, TrapNone
 	}
 	return nil, 0, TrapSegfault
 }

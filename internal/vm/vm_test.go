@@ -201,6 +201,43 @@ func TestTrapSegfaultPastGlobals(t *testing.T) {
 	}
 }
 
+// TestTrapSegfaultWrappedAddress pins the range check for addresses in
+// the top bytes of the address space: a zero base register plus a
+// negative displacement wraps, and the access must trap (misaligned when
+// the alignment check applies, segfault otherwise) rather than index a
+// segment at a negative offset.
+func TestTrapSegfaultWrappedAddress(t *testing.T) {
+	for _, store := range []bool{false, true} {
+		for _, off := range []int64{-8, -4, -1} {
+			for _, noAlign := range []bool{false, true} {
+				mb := ir.NewModule("t")
+				f := mb.Func("main", 0)
+				mb.GlobalU32s([]uint32{1, 2})
+				f.Alloca(64) // map some stack too
+				base := f.Let(ir.C(0))
+				if store {
+					f.Store64(base, ir.C(7), off)
+				} else {
+					f.Out64(f.Load64(base, off))
+				}
+				f.RetVoid()
+				res, err := Run(mb.MustBuild(), Options{NoAlignTrap: noAlign})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := TrapSegfault
+				if off%8 != 0 && !noAlign {
+					want = TrapMisaligned
+				}
+				if res.Stop != StopTrap || res.Trap != want {
+					t.Errorf("store=%v off=%d noAlign=%v: stop=%v trap=%v, want %v",
+						store, off, noAlign, res.Stop, res.Trap, want)
+				}
+			}
+		}
+	}
+}
+
 func TestTrapMisaligned(t *testing.T) {
 	res := buildAndRun(t, func(mb *ir.ModuleBuilder, f *ir.FuncBuilder) {
 		g := mb.GlobalU32s([]uint32{1, 2})
