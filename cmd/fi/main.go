@@ -23,6 +23,9 @@
 // several fi processes given the same flags and -resume drain one
 // campaign concurrently. -status lists every campaign in DIR with its
 // shard progress and running tally.
+//
+// -cpuprofile FILE and -exectrace FILE record the whole run for
+// `go tool pprof` and `go tool trace`.
 package main
 
 import (
@@ -35,6 +38,7 @@ import (
 	"time"
 
 	"multiflip/internal/core"
+	"multiflip/internal/profile"
 	"multiflip/internal/prog"
 	"multiflip/internal/report"
 	"multiflip/internal/stats"
@@ -60,6 +64,8 @@ type options struct {
 	journal    string
 	resume     bool
 	status     bool
+	cpuprofile string
+	exectrace  string
 
 	// classifier is the parsed classSpec; onfail the parsed onfailSpec.
 	classifier core.Classifier
@@ -86,6 +92,8 @@ func main() {
 	flag.StringVar(&o.journal, "journal", "", "journal directory: run the campaign as a durable sharded job (checkpointed, resumable, multi-process)")
 	flag.BoolVar(&o.resume, "resume", false, "resume the journaled campaign from its last checkpoint (requires -journal)")
 	flag.BoolVar(&o.status, "status", false, "list the campaigns in the -journal directory instead of running one")
+	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
+	flag.StringVar(&o.exectrace, "exectrace", "", "write an execution trace (runtime/trace) of the whole run to this file")
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "fi:", err)
@@ -93,7 +101,16 @@ func main() {
 	}
 }
 
-func run(o options) error {
+func run(o options) (err error) {
+	stop, err := profile.Start(o.cpuprofile, o.exectrace)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 	if o.resume && o.journal == "" {
 		return fmt.Errorf("-resume needs -journal DIR (there is no journal to resume from)")
 	}
@@ -109,7 +126,6 @@ func run(o options) error {
 	if o.model != "flip" && o.model != "stuckat" {
 		return fmt.Errorf("unknown model %q (want flip or stuckat)", o.model)
 	}
-	var err error
 	if o.classifier, err = core.ParseClassifier(o.classSpec); err != nil {
 		return err
 	}

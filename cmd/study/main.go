@@ -13,7 +13,8 @@
 // Output goes to stdout; use -o to write a file (EXPERIMENTS.md is
 // generated this way). After the run, one line on stderr reports the
 // study grid's experiment count, wall time and experiments per second;
-// the report itself stays byte-deterministic.
+// the report itself stays byte-deterministic. -cpuprofile FILE and
+// -exectrace FILE record the run for `go tool pprof` and `go tool trace`.
 package main
 
 import (
@@ -26,6 +27,7 @@ import (
 
 	"multiflip/internal/core"
 	"multiflip/internal/memfault"
+	"multiflip/internal/profile"
 	"multiflip/internal/study"
 )
 
@@ -40,7 +42,7 @@ func main() {
 		memfaults   = flag.Bool("memfault", true, "run the memory-word multi-bit fault extension (paper future work)")
 		stuckat     = flag.Bool("stuckat", true, "run the stuck-at register-fault extension (one campaign per program)")
 		stuckwin    = flag.String("stuckwin", "", `stuck-at extension hold window in Table I notation ("100", "11-100"; empty = default)`)
-		workers     = flag.Int("workers", 0, "parallel workers per campaign (0 = GOMAXPROCS)")
+		workers     = flag.Int("workers", 0, "parallel workers per campaign, and campaigns in flight at once (0 = GOMAXPROCS, 1 = serial study)")
 		nosnap      = flag.Bool("nosnap", false, "disable golden-run snapshot fast-forwarding (full prefix replay)")
 		noconverge  = flag.Bool("noconverge", false, "disable convergence-gated early termination and the fault-equivalence memo")
 		nocompile   = flag.Bool("nocompile", false, "disable the compiled fast tier (run the interpreter between event horizons)")
@@ -53,6 +55,8 @@ func main() {
 		csvDir      = flag.String("csv", "", "also write each table as CSV into this directory")
 		composition = flag.Bool("composition", false, "only run single-bit campaigns and print the candidate-composition tables")
 		verbose     = flag.Bool("v", false, "log campaign progress to stderr")
+		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile (runtime/pprof) of the whole run to this file")
+		exectrace   = flag.String("exectrace", "", "write an execution trace (runtime/trace) of the whole run to this file")
 	)
 	flag.Parse()
 	if err := run(params{
@@ -63,6 +67,7 @@ func main() {
 		noliveness: *noliveness,
 		classifier: *classifier, onfail: *onfail, journal: *journal, resume: *resume,
 		out: *out, csvDir: *csvDir, verbose: *verbose,
+		cpuprofile: *cpuprofile, exectrace: *exectrace,
 	}, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "study:", err)
 		os.Exit(1)
@@ -93,14 +98,26 @@ type params struct {
 	out         string
 	csvDir      string
 	verbose     bool
+	cpuprofile  string
+	exectrace   string
 }
 
 // run resolves the output writer (stdout, or the -o file), delegates to
 // runTo and reports the grid's throughput on stderr. Writing to a file
 // checks the Close error explicitly: EXPERIMENTS.md is produced via -o,
 // and a full disk surfacing only in Close must not yield a silently
-// truncated report with exit code 0.
-func run(p params, stdout, stderr io.Writer) error {
+// truncated report with exit code 0. The -cpuprofile and -exectrace
+// recordings span the whole run and never touch the report.
+func run(p params, stdout, stderr io.Writer) (err error) {
+	stop, err := profile.Start(p.cpuprofile, p.exectrace)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if serr := stop(); err == nil {
+			err = serr
+		}
+	}()
 	var tp throughput
 	if p.out == "" {
 		if err := runTo(stdout, p, &tp); err != nil {

@@ -487,6 +487,11 @@ func (e *Engine) runJournaled() (*EngineResult, error) {
 	}
 	numShards := meta.NumShards()
 
+	// A worker claims whole shards, so workers past the shard count would
+	// only poll ClaimWait: a campaign with N <= ShardSize is one shard and
+	// runs on one worker. The study keeps its cores busy by running
+	// several such campaigns at once (study.Options.Workers), not by
+	// splitting a shard.
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -38,6 +38,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -113,7 +114,8 @@ type FileJournal struct {
 	f    journalIO
 	path string
 	// readOff is how far absorb has consumed the file; pending buffers a
-	// trailing partial line until the rest of it lands.
+	// trailing partial line until the rest of it lands, and its spare
+	// capacity is the read buffer of the next absorb.
 	readOff int64
 	pending []byte
 	sync    bool
@@ -214,34 +216,47 @@ func (j *FileJournal) Meta() CampaignMeta {
 	return j.st.meta
 }
 
+// absorbChunk is the least free space absorbLocked reads into: the
+// journal's read buffer grows only when less than this is left past the
+// pending partial line.
+const absorbChunk = 64 * 1024
+
 // absorbLocked reads records appended since the last absorb and applies
 // them. Torn or corrupt lines are skipped; a trailing partial line stays
-// pending. Callers hold j.mu.
+// pending. Reads land directly in the spare capacity of pending, which
+// the journal keeps across calls, so an absorb that finds no new bytes
+// allocates nothing. Callers hold j.mu.
 func (j *FileJournal) absorbLocked() error {
-	buf := make([]byte, 64*1024)
 	for {
-		n, err := j.f.ReadAt(buf, j.readOff)
-		if n > 0 {
-			j.readOff += int64(n)
-			j.pending = append(j.pending, buf[:n]...)
+		if cap(j.pending)-len(j.pending) < absorbChunk {
+			j.pending = slices.Grow(j.pending, absorbChunk)
 		}
+		n, err := j.f.ReadAt(j.pending[len(j.pending):cap(j.pending)], j.readOff)
+		j.readOff += int64(n)
+		j.pending = j.pending[:len(j.pending)+n]
+		j.applyPending()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
 			return j.wrapErr("read journal", err)
 		}
 	}
+}
+
+// applyPending applies every complete line in pending and moves the
+// trailing partial line, if any, to the front of the buffer.
+func (j *FileJournal) applyPending() {
+	rest := j.pending
 	for {
-		nl := bytes.IndexByte(j.pending, '\n')
+		nl := bytes.IndexByte(rest, '\n')
 		if nl < 0 {
 			break
 		}
-		line := j.pending[:nl]
-		j.pending = j.pending[nl+1:]
-		j.applyLine(line)
+		j.applyLine(rest[:nl])
+		rest = rest[nl+1:]
 	}
-	return nil
+	j.pending = j.pending[:copy(j.pending, rest)]
 }
 
 // applyLine parses and applies one complete record line, skipping

@@ -37,7 +37,11 @@ type Options struct {
 	// NoStuckAt skips the stuck-at extension campaigns entirely; the
 	// stuck-at table and the EXT answers row are then omitted.
 	NoStuckAt bool
-	// Workers bounds per-campaign parallelism (0 = GOMAXPROCS).
+	// Workers bounds parallelism (0 = GOMAXPROCS). It is both the
+	// worker count of each campaign and the number of campaigns a
+	// program (and the transition study) keeps in flight at once, so one
+	// campaign's tail overlaps the next one's work. 1 runs a fully
+	// serial study. Results do not depend on it.
 	Workers int
 	// HangFactor scales the hang budget (0 = core.DefaultHangFactor).
 	HangFactor uint64
@@ -232,82 +236,99 @@ func runProgram(opts Options, name string) (*ProgData, error) {
 		Multi:  make(map[core.Technique][]*core.CampaignResult, 2),
 	}
 	svc := opts.service()
-	for _, tech := range core.Techniques() {
-		logf(opts.Log, "%s %s: single-bit + %d multi-bit campaigns (n=%d)",
-			name, tech, len(opts.MaxMBFs)*len(opts.WinSizes), opts.N)
-		single, err := core.RunCampaign(core.CampaignSpec{
-			Target:      target,
-			Technique:   tech,
-			Config:      core.SingleBit(),
-			N:           opts.N,
-			Seed:        campaignSeed(opts.Seed, name, tech, core.SingleBit()),
-			HangFactor:  opts.HangFactor,
-			Workers:     opts.Workers,
-			Record:      true,
-			NoSnapshots: opts.NoSnapshots,
-			NoConverge:  opts.NoConverge,
-			NoCompile:   opts.NoCompile,
-			NoLiveness:  opts.NoLiveness,
-			Classifier:  opts.Classifier,
-			OnFailure:   opts.OnFailure,
-			Service:     svc,
-		})
-		if err != nil {
-			return nil, err
+	var grid []core.Config
+	for _, m := range opts.MaxMBFs {
+		for _, w := range opts.WinSizes {
+			grid = append(grid, core.Config{MaxMBF: m, Win: w})
 		}
-		d.Single[tech] = single
-		for _, m := range opts.MaxMBFs {
-			for _, w := range opts.WinSizes {
-				cfg := core.Config{MaxMBF: m, Win: w}
-				res, err := core.RunCampaign(core.CampaignSpec{
+	}
+	// Every campaign writes into its own slot; the maps are filled once
+	// the schedule has drained.
+	techs := core.Techniques()
+	singles := make([]*core.CampaignResult, len(techs))
+	var jobs []job
+	for ti, tech := range techs {
+		multi := make([]*core.CampaignResult, len(grid))
+		d.Multi[tech] = multi
+		jobs = append(jobs, job{
+			log: fmt.Sprintf("%s %s: single-bit + %d multi-bit campaigns (n=%d)", name, tech, len(grid), opts.N),
+			run: func() (err error) {
+				spec := opts.campaignSpec(target, tech, core.SingleBit(), campaignSeed(opts.Seed, name, tech, core.SingleBit()), svc)
+				// Recorded, so the transition study can pin its locations.
+				spec.Record = true
+				singles[ti], err = runCampaign(spec)
+				return err
+			},
+		})
+		for k, cfg := range grid {
+			jobs = append(jobs, job{run: func() (err error) {
+				multi[k], err = runCampaign(opts.campaignSpec(target, tech, cfg, campaignSeed(opts.Seed, name, tech, cfg), svc))
+				return err
+			}})
+		}
+	}
+	if !opts.NoStuckAt {
+		// The stuck-at extension rides the same engine: one campaign per
+		// program, anchored in the inject-on-read candidate space.
+		jobs = append(jobs, job{
+			log: fmt.Sprintf("%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N),
+			run: func() (err error) {
+				d.StuckAt, err = runStuckAt(core.StuckAtSpec{
 					Target:      target,
-					Technique:   tech,
-					Config:      cfg,
+					Window:      opts.StuckAtWindow,
 					N:           opts.N,
-					Seed:        campaignSeed(opts.Seed, name, tech, cfg),
+					Seed:        stuckSeed(opts.Seed, name, opts.StuckAtWindow),
 					HangFactor:  opts.HangFactor,
 					Workers:     opts.Workers,
 					NoSnapshots: opts.NoSnapshots,
 					NoConverge:  opts.NoConverge,
 					NoCompile:   opts.NoCompile,
-					NoLiveness:  opts.NoLiveness,
 					Classifier:  opts.Classifier,
 					OnFailure:   opts.OnFailure,
 					Service:     svc,
 				})
-				if err != nil {
-					return nil, err
-				}
-				d.Multi[tech] = append(d.Multi[tech], res)
-			}
-		}
+				return err
+			},
+		})
 	}
-	if opts.NoStuckAt {
-		return d, nil
-	}
-	// The stuck-at extension rides the same engine: one campaign per
-	// program, anchored in the inject-on-read candidate space.
-	logf(opts.Log, "%s stuck-at: window %s (n=%d)", name, opts.StuckAtWindow, opts.N)
-	stuck, err := core.RunStuckAt(core.StuckAtSpec{
-		Target:      target,
-		Window:      opts.StuckAtWindow,
-		N:           opts.N,
-		Seed:        stuckSeed(opts.Seed, name, opts.StuckAtWindow),
-		HangFactor:  opts.HangFactor,
-		Workers:     opts.Workers,
-		NoSnapshots: opts.NoSnapshots,
-		NoConverge:  opts.NoConverge,
-		NoCompile:   opts.NoCompile,
-		Classifier:  opts.Classifier,
-		OnFailure:   opts.OnFailure,
-		Service:     svc,
-	})
-	if err != nil {
+	if err := runJobs(opts.Workers, opts.Log, jobs); err != nil {
 		return nil, err
 	}
-	d.StuckAt = stuck
+	for ti, tech := range techs {
+		d.Single[tech] = singles[ti]
+	}
 	return d, nil
 }
+
+// campaignSpec returns the spec of one flip campaign of the study on
+// target: the options' experiment count, execution knobs, classifier and
+// failure policy, under the given seed and service.
+func (o Options) campaignSpec(target *core.Target, tech core.Technique, cfg core.Config, seed uint64, svc *core.Service) core.CampaignSpec {
+	return core.CampaignSpec{
+		Target:      target,
+		Technique:   tech,
+		Config:      cfg,
+		N:           o.N,
+		Seed:        seed,
+		HangFactor:  o.HangFactor,
+		Workers:     o.Workers,
+		NoSnapshots: o.NoSnapshots,
+		NoConverge:  o.NoConverge,
+		NoCompile:   o.NoCompile,
+		NoLiveness:  o.NoLiveness,
+		Classifier:  o.Classifier,
+		OnFailure:   o.OnFailure,
+		Service:     svc,
+	}
+}
+
+// runCampaign and runStuckAt run the study's campaigns. Test seam: the
+// failure-path tests wrap them to count started campaigns and to fail
+// one technique's campaigns.
+var (
+	runCampaign = core.RunCampaign
+	runStuckAt  = core.RunStuckAt
+)
 
 // stuckSeed derives a stable seed per (study seed, program, window) for
 // the stuck-at extension, disjoint from the flip campaigns' seeds.

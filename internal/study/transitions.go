@@ -42,7 +42,9 @@ func (s *Study) RunTransitions() (map[string]map[core.Technique]*TransitionResul
 }
 
 func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResult, error) {
+	// The maps are filled here; each job only completes its own result.
 	out := make(map[string]map[core.Technique]*TransitionResult, len(s.Programs))
+	var jobs []job
 	for _, name := range s.Programs {
 		d := s.Data[name]
 		out[name] = make(map[core.Technique]*TransitionResult, 2)
@@ -56,45 +58,39 @@ func (s *Study) runTransitions() (map[string]map[core.Technique]*TransitionResul
 			if err != nil {
 				return nil, err
 			}
-			logf(s.Opts.Log, "%s %s: transition rerun at %s", name, tech, best.Config)
 			pins := make([]core.Pin, len(single.Experiments))
 			for i, e := range single.Experiments {
 				pins[i] = core.Pin{Cand: e.Cand, Bit: e.Bit}
 			}
-			pinned, err := core.RunCampaign(core.CampaignSpec{
-				Target:      d.Target,
-				Technique:   tech,
-				Config:      best.Config,
-				Seed:        campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config),
-				HangFactor:  s.Opts.HangFactor,
-				Workers:     s.Opts.Workers,
-				Record:      true,
-				Pins:        pins,
-				NoSnapshots: s.Opts.NoSnapshots,
-				NoConverge:  s.Opts.NoConverge,
-				NoCompile:   s.Opts.NoCompile,
-				NoLiveness:  s.Opts.NoLiveness,
-				Classifier:  s.Opts.Classifier,
-				OnFailure:   s.Opts.OnFailure,
-				Service:     svc,
-			})
-			if err != nil {
-				return nil, err
-			}
-			matrix, err := analysis.Transitions(single.Experiments, pinned.Experiments)
-			if err != nil {
-				return nil, err
-			}
-			out[name][tech] = &TransitionResult{
+			spec := s.Opts.campaignSpec(d.Target, tech, best.Config,
+				campaignSeed(s.Opts.Seed, name+"/tran", tech, best.Config), svc)
+			spec.Record = true
+			spec.Pins = pins
+			tr := &TransitionResult{
 				Program:  name,
 				Tech:     tech,
 				Best:     best,
-				Matrix:   matrix,
-				TranI:    matrix.TransitionI(),
-				TranII:   matrix.TransitionII(),
 				Prunable: analysis.PrunableShare(single.Experiments),
 			}
+			out[name][tech] = tr
+			jobs = append(jobs, job{
+				log: fmt.Sprintf("%s %s: transition rerun at %s", name, tech, best.Config),
+				run: func() error {
+					pinned, err := runCampaign(spec)
+					if err != nil {
+						return err
+					}
+					if tr.Matrix, err = analysis.Transitions(single.Experiments, pinned.Experiments); err != nil {
+						return err
+					}
+					tr.TranI, tr.TranII = tr.Matrix.TransitionI(), tr.Matrix.TransitionII()
+					return nil
+				},
+			})
 		}
+	}
+	if err := runJobs(s.Opts.Workers, s.Opts.Log, jobs); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
